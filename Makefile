@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench figures lint generate generate-check clean
+.PHONY: all build test race bench figures lint generate generate-check perfbench-check clean
 
 all: build test
 
@@ -48,6 +48,12 @@ generate:
 # reproducible".
 generate-check: generate
 	git diff --exit-code -- '*_gen.go' docs/
+
+# The benchmark (perfbench/) is a Go module of its own, so the
+# root `go test ./...` never builds it, yet it is the one consumer that
+# pins the core API it calls. Vet it and run its tiny-mode self-test.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

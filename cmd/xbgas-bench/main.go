@@ -136,7 +136,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 					continue
 				}
 				e := name
-				if pl.CompileSeg != nil && pl.CompileSeg(coll, 4, 2) != nil {
+				// A planner with no segmented form serves its
+				// unsegmented plan for a segmented request.
+				seg, _ := core.CompilePlanFor(coll, pl.Name, 4, 2, core.Shape{})
+				base, _ := core.CompilePlanFor(coll, pl.Name, 4, 1, core.Shape{})
+				if seg != base {
 					e += " [seg]"
 				}
 				entries = append(entries, e)

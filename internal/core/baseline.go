@@ -13,10 +13,7 @@ import (
 
 // BroadcastLinear is a flat broadcast: the root puts to each PE in turn.
 func BroadcastLinear(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, stride, root int) error {
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollBroadcast, AlgoLinear, ExecArgs{
+	return dispatch(pe, CollBroadcast, AlgoLinear, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})
@@ -25,13 +22,7 @@ func BroadcastLinear(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems,
 // ReduceLinear is a flat reduction: the root gets every PE's staged
 // contribution and folds it locally.
 func ReduceLinear(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride, root int) error {
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollReduce, AlgoLinear, ExecArgs{
+	return dispatch(pe, CollReduce, AlgoLinear, ExecArgs{
 		DT: dt, Op: op, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})
@@ -40,10 +31,7 @@ func ReduceLinear(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint6
 // ScatterLinear is a flat scatter: the root puts each PE's block
 // directly to its dest.
 func ScatterLinear(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollScatter, AlgoLinear, ExecArgs{
+	return dispatch(pe, CollScatter, AlgoLinear, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,
@@ -53,10 +41,7 @@ func ScatterLinear(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, p
 // GatherLinear is a flat gather: the root gets each PE's block from a
 // symmetric staging buffer.
 func GatherLinear(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollGather, AlgoLinear, ExecArgs{
+	return dispatch(pe, CollGather, AlgoLinear, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,

@@ -17,7 +17,8 @@ import (
 // Broadcast (symmetric dest, root-only src); stride must be 1 (chunked
 // transfers are contiguous by construction). The chunk geometry and
 // both phases are encoded in the compiled plan (see
-// compileScatterAllgather).
+// compileScatterAllgather). With one PE, or fewer elements than PEs,
+// there is no chunk per PE and the call runs the binomial tree.
 //
 // Auto-segmentation (SelectSegments) never rewrites this algorithm:
 // it already amortises large messages by chunking across PEs, so
@@ -28,15 +29,7 @@ import (
 // and pipelines its segments; the message-size ablation compares the
 // two large-message strategies.
 func BroadcastScatterAllgather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, root int) error {
-	if err := validate(pe, dt, nelems, 1, root); err != nil {
-		return err
-	}
-	nPEs := pe.NumPEs()
-	if nPEs == 1 || nelems < nPEs {
-		// Degenerate cases: fall back to the tree.
-		return Broadcast(pe, dt, dest, src, nelems, 1, root)
-	}
-	return runPlan(pe, CollBroadcast, AlgoScatterAllgather, ExecArgs{
+	return dispatch(pe, CollBroadcast, AlgoScatterAllgather, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 	})

@@ -19,10 +19,7 @@ import (
 //
 //xbgas:typed rooted
 func Broadcast(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, stride, root int) error {
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollBroadcast, AlgoBinomial, ExecArgs{
+	return dispatch(pe, CollBroadcast, AlgoBinomial, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})

@@ -380,7 +380,7 @@ func TestBandwidthPlannerTransfersMatchExecution(t *testing.T) {
 		for _, n := range []int{2, 3, 4, 5, 7, 8, 12} {
 			c, n := c, n
 			t.Run(fmt.Sprintf("%s/%s/seg%d/n%d", c.coll, c.algo, c.segments, n), func(t *testing.T) {
-				p, err := CompilePlanSeg(c.coll, c.algo, n, c.segments)
+				p, err := CompilePlanFor(c.coll, c.algo, n, c.segments, Shape{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -513,21 +513,21 @@ func TestLinearMatchesBinomial(t *testing.T) {
 }
 
 func TestSelectLogic(t *testing.T) {
-	if AlgoBinomial.Select(CollBroadcast, 8, 1, 8) != AlgoBinomial {
+	if AlgoBinomial.SelectFor(CollBroadcast, 8, 1, 8, Shape{}) != AlgoBinomial {
 		t.Error("explicit algorithm must not be overridden")
 	}
-	if AlgoLinear.Select(CollBroadcast, 8, 1, 8) != AlgoLinear {
+	if AlgoLinear.SelectFor(CollBroadcast, 8, 1, 8, Shape{}) != AlgoLinear {
 		t.Error("explicit algorithm must not be overridden")
 	}
-	if AlgoAuto.Select(CollBroadcast, 2, 100, 8) != AlgoLinear {
+	if AlgoAuto.SelectFor(CollBroadcast, 2, 100, 8, Shape{}) != AlgoLinear {
 		t.Error("auto must pick linear for <= 2 PEs")
 	}
-	if AlgoAuto.Select(CollBroadcast, 8, 100, 8) != AlgoBinomial {
+	if AlgoAuto.SelectFor(CollBroadcast, 8, 100, 8, Shape{}) != AlgoBinomial {
 		t.Error("auto must pick binomial for small messages over > 2 PEs")
 	}
 	// Reduce-scatter has no linear form: auto must land on a planner
 	// that implements it even at <= 2 PEs.
-	if got := AlgoAuto.Select(CollReduceScatter, 2, 100, 8); got != AlgoRing && got != AlgoRabenseifner {
+	if got := AlgoAuto.SelectFor(CollReduceScatter, 2, 100, 8, Shape{}); got != AlgoRing && got != AlgoRabenseifner {
 		t.Errorf("auto(reduce_scatter, 2 PEs) = %s", got)
 	}
 	for _, a := range []Algorithm{AlgoAuto, AlgoBinomial, AlgoLinear, AlgoRing, AlgoRabenseifner} {

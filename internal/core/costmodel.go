@@ -169,27 +169,15 @@ func LoadTuning(path string) (Tuning, error) {
 	return t, nil
 }
 
-// CostModel prices a plan for a call moving nelems elements of width
-// bytes under the current tuning table. It is the projection AlgoAuto
-// minimises over; exposed so -algo list and the docs' crossover tables
-// can print the same numbers selection uses.
-func CostModel(p *Plan, nelems, width int) float64 {
-	return PlanCost(p, CurrentTuning(), nelems, width)
-}
-
-// PlanCost prices a plan under an explicit tuning table, in modelled
-// nanoseconds; it is PlanCostShape over the flat shape.
-func PlanCost(p *Plan, tn Tuning, nelems, width int) float64 {
-	return PlanCostShape(p, tn, Shape{}, nelems, width)
-}
-
 // PlanCostShape prices a plan under an explicit tuning table and fabric
-// shape, in modelled nanoseconds. Blocking plans cost the sum over
-// rounds of the most loaded actor's work plus each closing barrier;
-// flag-pipelined plans cost the most loaded actor's local work plus
-// PipelineDepth hops of one segment each. Counts are resolved with the
-// equal-block model (block v ≈ ⌈nelems/n⌉), which is exact for
-// AdjChunks plans and the common uniform-vector case.
+// shape, in modelled nanoseconds: the one plan-cost function, the
+// projection AlgoAuto minimises over and the model the audit measures.
+// Blocking plans cost the sum over rounds of the most loaded actor's
+// work plus each closing barrier; flag-pipelined plans cost the most
+// loaded actor's local work plus PipelineDepth hops of one segment
+// each. Counts are resolved with the equal-block model (block v ≈
+// ⌈nelems/n⌉), which is exact for AdjChunks plans and the common
+// uniform-vector case.
 //
 // On a grouped shape each put/get is priced with the per-link-class
 // α/β of its endpoints' nodes (virtual-clock coefficients; see Tuning),
@@ -455,7 +443,7 @@ func rootedColl(coll Collective) bool {
 // chooseAuto resolves AlgoAuto: with ≤ 2 PEs tree depth buys nothing
 // and the flat algorithm's bookkeeping is cheapest (when it implements
 // the collective); small payloads stay on the paper's binomial tree;
-// otherwise the argmin of CostModel over the registered planners. The
+// otherwise the argmin of PlanCostShape over the registered planners. The
 // large-message scatter+all-gather broadcast stays an explicit opt-in
 // — its advantage assumes bisection bandwidth the default fabric does
 // not have.

@@ -3,8 +3,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"xbgas/internal/xbrtime"
 )
 
 func TestTuningSaveLoadRoundTrip(t *testing.T) {
@@ -52,11 +55,11 @@ func TestPlanCostOrdersLargeMessages(t *testing.T) {
 	const n, nelems, width = 8, 1 << 17, 8
 	cost := func(coll Collective, algo Algorithm) float64 {
 		seg := SelectSegments(coll, algo, n, nelems, width)
-		p, err := CompilePlanSeg(coll, algo, n, seg)
+		p, err := CompilePlanFor(coll, algo, n, seg, Shape{})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", coll, algo, err)
 		}
-		return PlanCost(p, tn, nelems, width)
+		return PlanCostShape(p, tn, Shape{}, nelems, width)
 	}
 	if rab, bin := cost(CollAllReduce, AlgoRabenseifner), cost(CollAllReduce, AlgoBinomial); rab >= bin {
 		t.Errorf("1MiB allreduce: rabenseifner %.0f >= binomial %.0f", rab, bin)
@@ -77,7 +80,7 @@ func TestPlanCostOrdersLargeMessages(t *testing.T) {
 func TestAutoReactsToTuning(t *testing.T) {
 	defer SetTuning(DefaultTuning())
 	const n, nelems, width = 8, 1 << 17, 8
-	before := AlgoAuto.Select(CollAllReduce, n, nelems, width)
+	before := AlgoAuto.SelectFor(CollAllReduce, n, nelems, width, Shape{})
 	if before != AlgoRabenseifner && before != AlgoRing {
 		t.Fatalf("default tuning pick = %s, want bandwidth-optimal", before)
 	}
@@ -85,15 +88,75 @@ func TestAutoReactsToTuning(t *testing.T) {
 	slow.AlphaNs = 1e9 // every message costs a second; round count is all that matters
 	slow.BarrierNs = 0
 	SetTuning(slow)
-	after := AlgoAuto.Select(CollAllReduce, n, nelems, width)
-	if pAfter, _ := CompilePlan(CollAllReduce, after, n); pAfter != nil {
-		pBefore, _ := CompilePlan(CollAllReduce, AlgoRing, n)
+	after := AlgoAuto.SelectFor(CollAllReduce, n, nelems, width, Shape{})
+	if pAfter, _ := CompilePlanFor(CollAllReduce, after, n, 1, Shape{}); pAfter != nil {
+		pBefore, _ := CompilePlanFor(CollAllReduce, AlgoRing, n, 1, Shape{})
 		if pBefore != nil && pAfter.Depth > pBefore.Depth {
 			t.Errorf("latency-dominated tuning picked %s (depth %d) over shallower options", after, pAfter.Depth)
 		}
 	}
 	SetTuning(DefaultTuning())
-	if again := AlgoAuto.Select(CollAllReduce, n, nelems, width); again != before {
+	if again := AlgoAuto.SelectFor(CollAllReduce, n, nelems, width, Shape{}); again != before {
 		t.Errorf("restoring tuning: pick = %s, want %s", again, before)
+	}
+}
+
+// autoCacheSnapshot copies the auto decision cache and its generation.
+func autoCacheSnapshot() (uint64, map[autoKey]Algorithm) {
+	autoMu.Lock()
+	defer autoMu.Unlock()
+	m := make(map[autoKey]Algorithm, len(autoCache))
+	for k, v := range autoCache {
+		m[k] = v
+	}
+	return autoCacheGen, m
+}
+
+// A call the entry point rejects must be rejected before AlgoAuto is
+// resolved: pricing plans on a negative payload, or on a type the call
+// refuses, would write a decision for a payload no valid call can have
+// into the process-wide decision cache. Reduce-scatter has no binomial
+// small-message floor, so a call resolved before validation always
+// reaches the cost model.
+func TestRejectedAutoCallLeavesDecisionCache(t *testing.T) {
+	cases := []struct {
+		name   string
+		dt     xbrtime.DType
+		nelems int
+		want   string
+	}{
+		{"negative count", xbrtime.TypeInt64, -3, "negative element count"},
+		{"invalid dtype", xbrtime.DType{Kind: xbrtime.KindFloat, Width: 2}, 64, "invalid data type"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := xbrtime.MustNew(xbrtime.Config{NumPEs: 4})
+			defer rt.Close()
+			// A fresh generation: any decision the call records shows
+			// up as a changed cache.
+			invalidateAuto()
+			gen, before := autoCacheSnapshot()
+			errs := make([]error, 4)
+			if err := rt.Run(func(pe *xbrtime.PE) error {
+				buf, err := pe.Malloc(8 * 64)
+				if err != nil {
+					return err
+				}
+				errs[pe.MyPE()] = ReduceScatterWith(pe, AlgoAuto, tc.dt, OpSum, buf, buf, tc.nelems)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("PE %d: err = %v, want %q", i, err, tc.want)
+				}
+			}
+			genAfter, after := autoCacheSnapshot()
+			if genAfter != gen || !reflect.DeepEqual(after, before) {
+				t.Errorf("rejected call changed the auto decision cache: gen %d -> %d, %v -> %v",
+					gen, genAfter, before, after)
+			}
+		})
 	}
 }

@@ -608,20 +608,11 @@ func (e *execEnv) barrier() error {
 	return e.pe.Barrier()
 }
 
-// runPlan is the shared tail of every collective entry point: pick the
-// segmentation for the message, fetch the cached plan (compiling on
-// first use), open the plan's collective span, and execute. Team
-// executions never segment — a members-only flag allocation would
-// break the symmetric-heap contract.
-func runPlan(pe *xbrtime.PE, coll Collective, algo Algorithm, a ExecArgs) error {
-	seg := 1
-	sh := Shape{}
-	if a.Team == nil {
-		seg = SelectSegments(coll, algo, pe.NumPEs(), a.Nelems, a.DT.Width)
-		// Teams stay on flat plans: member ranks scramble the node
-		// grouping the shaped planners schedule against.
-		sh = shapeOf(pe)
-	}
+// runPlan is the tail of dispatch: pick the segmentation for the
+// message, fetch the cached plan for the fabric shape (compiling on
+// first use), open the plan's collective span, and execute.
+func runPlan(pe *xbrtime.PE, coll Collective, algo Algorithm, sh Shape, a ExecArgs) error {
+	seg := SelectSegments(coll, algo, pe.NumPEs(), a.Nelems, a.DT.Width)
 	p, err := CompilePlanFor(coll, algo, pe.NumPEs(), seg, sh)
 	if err != nil {
 		return err

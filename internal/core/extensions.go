@@ -74,7 +74,7 @@ func Alltoall(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems int) er
 		return fmt.Errorf("core: negative element count %d", nelems)
 	}
 	n := pe.NumPEs()
-	p, err := CompilePlan(CollAlltoall, AlgoDirect, n)
+	p, err := CompilePlanFor(CollAlltoall, AlgoDirect, n, 1, Shape{})
 	if err != nil {
 		return err
 	}

@@ -361,18 +361,18 @@ func TestAutoSelectsLargeMessageAlgorithm(t *testing.T) {
 	// bisection bandwidth the default fabric does not have, so auto
 	// never selects it whatever the size.
 	big := LargeMessageBytes / 8
-	if got := AlgoAuto.Select(CollBroadcast, 8, big, 8); got == AlgoScatterAllgather {
+	if got := AlgoAuto.SelectFor(CollBroadcast, 8, big, 8, Shape{}); got == AlgoScatterAllgather {
 		t.Errorf("auto(large broadcast) picked the opt-in algorithm %s", got)
 	}
-	if got := AlgoAuto.Select(CollBroadcast, 8, 16, 8); got != AlgoBinomial {
+	if got := AlgoAuto.SelectFor(CollBroadcast, 8, 16, 8, Shape{}); got != AlgoBinomial {
 		t.Errorf("auto(small) = %s", got)
 	}
 	// Large allreduce must leave the tree for a bandwidth-optimal
 	// planner.
-	if got := AlgoAuto.Select(CollAllReduce, 8, 1<<17, 8); got != AlgoRabenseifner && got != AlgoRing {
+	if got := AlgoAuto.SelectFor(CollAllReduce, 8, 1<<17, 8, Shape{}); got != AlgoRabenseifner && got != AlgoRing {
 		t.Errorf("auto(1MiB allreduce) = %s", got)
 	}
-	if got := AlgoScatterAllgather.Select(CollBroadcast, 8, big, 8); got != AlgoScatterAllgather {
+	if got := AlgoScatterAllgather.SelectFor(CollBroadcast, 8, big, 8, Shape{}); got != AlgoScatterAllgather {
 		t.Errorf("explicit choice overridden: %s", got)
 	}
 	// Strided large broadcasts through the explicit large-message

@@ -22,10 +22,7 @@ import (
 //
 //xbgas:typed vector
 func Gather(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollGather, AlgoBinomial, ExecArgs{
+	return dispatch(pe, CollGather, AlgoBinomial, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,

@@ -407,9 +407,9 @@ func (p *Plan) Transfers() []Transfer {
 }
 
 // planKey is the cache shape: everything else (root, nelems, stride,
-// counts, team) is resolved at execution time. per is the topology
-// shape's PEs-per-node for shape-aware planners, 0 for every other
-// plan.
+// counts, team) is resolved at execution time. per is the fabric
+// shape's PEs-per-node, 0 for flat shapes; the entry of a planner that
+// is not Shaped aliases its flat plan.
 type planKey struct {
 	coll Collective
 	algo Algorithm
@@ -422,81 +422,6 @@ var (
 	planMu    sync.RWMutex
 	planCache = map[planKey]*Plan{}
 )
-
-// CompilePlan returns the unsegmented plan for (collective, algorithm,
-// nPEs), compiling and caching it on first use. Repeated calls with
-// the same shape return the same *Plan; the cache uses a plain
-// mutex-guarded map so hits stay allocation-free. algo must name a
-// registered planner (AlgoAuto is resolved by the dispatchers, not
-// here).
-func CompilePlan(coll Collective, algo Algorithm, nPEs int) (*Plan, error) {
-	return CompilePlanSeg(coll, algo, nPEs, 1)
-}
-
-// CompilePlanSeg is CompilePlan with a message-segmentation factor:
-// segments > 1 asks the planner for a pipelined per-segment plan
-// (falling back to the unsegmented plan when the planner has no
-// segmented form for the collective). The fallback is cached under the
-// requested key too, so repeated misses stay cheap and
-// pointer-stable.
-func CompilePlanSeg(coll Collective, algo Algorithm, nPEs, segments int) (*Plan, error) {
-	if nPEs < 1 {
-		return nil, fmt.Errorf("core: plan for %d PEs; need at least 1", nPEs)
-	}
-	if segments < 1 {
-		segments = 1
-	}
-	key := planKey{coll, algo, nPEs, segments, 0}
-	planMu.RLock()
-	p := planCache[key]
-	planMu.RUnlock()
-	if p != nil {
-		return p, nil
-	}
-	pl, ok := LookupPlanner(algo)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %v)", algo, PlannerNames())
-	}
-	if segments > 1 && pl.CompileSeg != nil {
-		p = pl.CompileSeg(coll, nPEs, segments)
-	}
-	if segments > 1 && p == nil {
-		// No segmented form: alias the unsegmented plan under this key.
-		base, err := CompilePlanSeg(coll, algo, nPEs, 1)
-		if err != nil {
-			return nil, err
-		}
-		planMu.Lock()
-		if prev := planCache[key]; prev != nil {
-			base = prev
-		} else {
-			planCache[key] = base
-		}
-		planMu.Unlock()
-		return base, nil
-	}
-	if p == nil {
-		p = pl.Compile(coll, nPEs)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("core: algorithm %q does not implement %s", algo, coll)
-	}
-	p.label = coll.String() + "/" + string(algo)
-	if p.Segments > 1 {
-		p.label += fmt.Sprintf("[seg=%d]", p.Segments)
-	} else if p.FlagWords > 0 {
-		p.label += "[pipelined]"
-	}
-	p.finalize()
-	planMu.Lock()
-	if prev := planCache[key]; prev != nil {
-		p = prev // lost a compile race; keep the first plan canonical
-	} else {
-		planCache[key] = p
-	}
-	planMu.Unlock()
-	return p, nil
-}
 
 // Shape carries the fabric grouping a shape-aware planner compiles
 // against: PerNode is the nominal PEs per physical node of the
@@ -513,33 +438,62 @@ func (sh Shape) flat(n int) bool {
 	return sh.PerNode <= 1 || sh.PerNode >= n
 }
 
-// CompilePlanFor is CompilePlanSeg for a fabric shape: a planner that
-// registers a CompileShaped hook receives the grouping and its plans
-// are cached per (collective, algorithm, nPEs, PerNode). Every other
-// planner — and every flat shape — shares the unshaped cache entries.
-// Shaped plans have no segmented forms (the two-level schedules chunk
-// internally), so the segment factor is dropped on the shaped path.
+// CompilePlanFor returns the plan for (collective, algorithm, nPEs)
+// split into the given number of message segments and compiled against
+// the fabric shape, compiling and caching it on first use. Repeated
+// calls with the same key return the same *Plan; the cache uses a
+// plain mutex-guarded map so hits stay allocation-free. Only a Shaped
+// planner compiles per grouping; every other planner — and every flat
+// shape — shares the flat plan.
+//
+// segments > 1 asks the planner for a pipelined per-segment plan. A
+// planner with no segmented form for the collective gets the
+// unsegmented plan, cached under the requested key too, so repeated
+// misses stay cheap and pointer-stable. algo must name a registered
+// planner (AlgoAuto is resolved by the dispatcher, not here).
 func CompilePlanFor(coll Collective, algo Algorithm, nPEs, segments int, sh Shape) (*Plan, error) {
-	pl, ok := LookupPlanner(algo)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %v)", algo, PlannerNames())
+	if nPEs < 1 {
+		return nil, fmt.Errorf("core: plan for %d PEs; need at least 1", nPEs)
 	}
-	if pl.CompileShaped == nil || sh.flat(nPEs) {
-		return CompilePlanSeg(coll, algo, nPEs, segments)
+	if segments < 1 {
+		segments = 1
 	}
-	key := planKey{coll, algo, nPEs, 1, sh.PerNode}
+	if sh.flat(nPEs) {
+		sh = Shape{}
+	}
+	key := planKey{coll, algo, nPEs, segments, sh.PerNode}
 	planMu.RLock()
 	p := planCache[key]
 	planMu.RUnlock()
 	if p != nil {
 		return p, nil
 	}
-	p = pl.CompileShaped(coll, nPEs, sh)
-	if p == nil {
-		return nil, fmt.Errorf("core: algorithm %q does not implement %s", algo, coll)
+	pl, ok := LookupPlanner(algo)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown algorithm %q (registered: %v)", algo, PlannerNames())
 	}
-	p.label = coll.String() + "/" + string(algo)
-	p.finalize()
+	var err error
+	if sh.PerNode != 0 && !pl.Shaped {
+		// The grouping does not change this planner's plans: alias the
+		// flat plan under this key.
+		p, err = CompilePlanFor(coll, algo, nPEs, segments, Shape{})
+	} else if p = pl.Compile(coll, nPEs, segments, sh); p != nil {
+		p.label = coll.String() + "/" + string(algo)
+		if p.Segments > 1 {
+			p.label += fmt.Sprintf("[seg=%d]", p.Segments)
+		} else if p.FlagWords > 0 {
+			p.label += "[pipelined]"
+		}
+		p.finalize()
+	} else if segments > 1 {
+		// No segmented form: alias the unsegmented plan under this key.
+		p, err = CompilePlanFor(coll, algo, nPEs, 1, sh)
+	} else {
+		err = fmt.Errorf("core: algorithm %q does not implement %s", algo, coll)
+	}
+	if err != nil {
+		return nil, err
+	}
 	planMu.Lock()
 	if prev := planCache[key]; prev != nil {
 		p = prev // lost a compile race; keep the first plan canonical

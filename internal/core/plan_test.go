@@ -105,7 +105,7 @@ func TestExecutionMatchesSchedule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for n := 1; n <= 16; n++ {
-			p, err := CompilePlan(tc.coll, tc.algo, n)
+			p, err := CompilePlanFor(tc.coll, tc.algo, n, 1, Shape{})
 			if err != nil {
 				t.Fatalf("%s/%s n=%d: %v", tc.coll, tc.algo, n, err)
 			}
@@ -183,30 +183,60 @@ func TestExecutionMatchesSchedule(t *testing.T) {
 // Plan-cache properties.
 // ---------------------------------------------------------------------
 
-// TestPlanCacheReuse pins the caching contract: one plan per
-// (collective, algorithm, nPEs) shape, shared by every call — and
-// because plans live in virtual-rank space, every root reuses the same
-// plan object (the root enters only at execution time).
+// TestPlanCacheReuse pins the caching contract of CompilePlanFor: one
+// plan per (collective, algorithm, nPEs, segments, shape) key, shared
+// by every call — and because plans live in virtual-rank space, every
+// root reuses the same plan object (the root enters only at execution
+// time). A segmented request to a planner with no segmented form gets
+// the unsegmented plan itself, and only a Shaped planner compiles a
+// distinct plan per grouping.
 func TestPlanCacheReuse(t *testing.T) {
-	p1, err := CompilePlan(CollBroadcast, AlgoBinomial, 8)
-	if err != nil {
-		t.Fatal(err)
+	type key struct {
+		coll Collective
+		algo Algorithm
+		n    int
+		seg  int
+		sh   Shape
 	}
-	p2, err := CompilePlan(CollBroadcast, AlgoBinomial, 8)
-	if err != nil {
-		t.Fatal(err)
+	bcast8 := key{CollBroadcast, AlgoBinomial, 8, 1, Shape{}}
+	cases := []struct {
+		name string
+		a, b key
+		same bool
+		// wantSeg, when nonzero, is plan a's Segments.
+		wantSeg int
+	}{
+		{"same key", bcast8, bcast8, true, 0},
+		{"different nPEs", bcast8, key{CollBroadcast, AlgoBinomial, 9, 1, Shape{}}, false, 0},
+		{"different algorithm", bcast8, key{CollBroadcast, AlgoLinear, 8, 1, Shape{}}, false, 0},
+		{"different collective", bcast8, key{CollReduce, AlgoBinomial, 8, 1, Shape{}}, false, 0},
+		{"ring allreduce has no segmented form",
+			key{CollAllReduce, AlgoRing, 8, 4, Shape{}}, key{CollAllReduce, AlgoRing, 8, 1, Shape{}}, true, 0},
+		{"rabenseifner allreduce has no segmented form",
+			key{CollAllReduce, AlgoRabenseifner, 8, 4, Shape{}}, key{CollAllReduce, AlgoRabenseifner, 8, 1, Shape{}}, true, 0},
+		{"hierarchical compiles per grouping",
+			key{CollAllReduce, AlgoHier, 16, 1, Shape{PerNode: 4}}, key{CollAllReduce, AlgoHier, 16, 1, Shape{}}, false, 0},
+		{"binomial shares its flat plan across groupings",
+			key{CollAllReduce, AlgoBinomial, 16, 1, Shape{PerNode: 4}}, key{CollAllReduce, AlgoBinomial, 16, 1, Shape{}}, true, 0},
+		{"binomial broadcast segments",
+			key{CollBroadcast, AlgoBinomial, 8, 4, Shape{}}, bcast8, false, 4},
 	}
-	if p1 != p2 {
-		t.Error("same shape must return the same cached *Plan")
+	compile := func(k key) *Plan {
+		t.Helper()
+		p, err := CompilePlanFor(k.coll, k.algo, k.n, k.seg, k.sh)
+		if err != nil {
+			t.Fatalf("%+v: %v", k, err)
+		}
+		return p
 	}
-	if p3, _ := CompilePlan(CollBroadcast, AlgoBinomial, 9); p3 == p1 {
-		t.Error("different nPEs must compile a different plan")
-	}
-	if p4, _ := CompilePlan(CollBroadcast, AlgoLinear, 8); p4 == p1 {
-		t.Error("different algorithm must compile a different plan")
-	}
-	if p5, _ := CompilePlan(CollReduce, AlgoBinomial, 8); p5 == p1 {
-		t.Error("different collective must compile a different plan")
+	for _, tc := range cases {
+		pa, pb := compile(tc.a), compile(tc.b)
+		if (pa == pb) != tc.same {
+			t.Errorf("%s: %+v and %+v share a plan = %v, want %v", tc.name, tc.a, tc.b, pa == pb, tc.same)
+		}
+		if tc.wantSeg != 0 && pa.Segments != tc.wantSeg {
+			t.Errorf("%s: Segments = %d, want %d", tc.name, pa.Segments, tc.wantSeg)
+		}
 	}
 }
 
@@ -221,7 +251,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := CompilePlan(CollGather, AlgoBinomial, 13)
+			p, err := CompilePlanFor(CollGather, AlgoBinomial, 13, 1, Shape{})
 			if err == nil {
 				plans[i] = p
 			}
@@ -236,13 +266,13 @@ func TestPlanCacheConcurrent(t *testing.T) {
 }
 
 func TestCompilePlanErrors(t *testing.T) {
-	if _, err := CompilePlan(CollBroadcast, AlgoBinomial, 0); err == nil {
+	if _, err := CompilePlanFor(CollBroadcast, AlgoBinomial, 0, 1, Shape{}); err == nil {
 		t.Error("nPEs=0 must fail")
 	}
-	if _, err := CompilePlan(CollBroadcast, Algorithm("fft"), 4); err == nil {
+	if _, err := CompilePlanFor(CollBroadcast, Algorithm("fft"), 4, 1, Shape{}); err == nil {
 		t.Error("unregistered algorithm must fail")
 	}
-	if _, err := CompilePlan(CollAlltoall, AlgoLinear, 4); err == nil {
+	if _, err := CompilePlanFor(CollAlltoall, AlgoLinear, 4, 1, Shape{}); err == nil {
 		t.Error("registered algorithm without this collective must fail")
 	}
 }
@@ -308,7 +338,7 @@ func TestAlltoallPoolBalance(t *testing.T) {
 		// executor (the public entry point rejects it) and makes the
 		// first non-blocking put fail after the handle slice is
 		// borrowed; the executor must still return it.
-		p, err := CompilePlan(CollAlltoall, AlgoDirect, n)
+		p, err := CompilePlanFor(CollAlltoall, AlgoDirect, n, 1, Shape{})
 		if err != nil {
 			return err
 		}

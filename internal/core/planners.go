@@ -77,7 +77,10 @@ func stageAll(n int) []Step {
 	return steps
 }
 
-func compileBinomial(coll Collective, n int) *Plan {
+func compileBinomial(coll Collective, n, segments int, _ Shape) *Plan {
+	if segments > 1 {
+		return compileBinomialSeg(coll, n, segments)
+	}
 	switch coll {
 	case CollBroadcast:
 		return binomialBroadcastPlan(n)

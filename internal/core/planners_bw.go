@@ -14,7 +14,7 @@ package core
 //     reduce-scatter with recursive-doubling allgather — the same
 //     2·(n−1)/n volume in 2·log₂ n rounds at power-of-two counts,
 //     falling back to the ring composition elsewhere;
-//   - ring pipelined broadcast/reduce (the CompileSeg forms) chain the
+//   - ring pipelined broadcast/reduce (the segmented forms) chain the
 //     PEs and stream segments down the chain with PR 4's flag
 //     machinery: depth (n−1)+(S−1) but every link carries every byte
 //     exactly once.
@@ -29,7 +29,10 @@ package core
 // isPow2 reports whether n is a power of two (n ≥ 1).
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-func compileRing(coll Collective, n int) *Plan {
+func compileRing(coll Collective, n, segments int, _ Shape) *Plan {
+	if segments > 1 {
+		return compileRingSeg(coll, n, segments)
+	}
 	switch coll {
 	case CollReduceScatter:
 		return ringReduceScatterPlan(n)
@@ -590,14 +593,13 @@ func init() {
 			CollBroadcast, CollReduce, CollAllReduce, CollAllGather,
 			CollReduceScatter,
 		},
-		Compile:    compileRing,
-		CompileSeg: compileRingSeg,
+		Compile: compileRing,
 	})
 	RegisterPlanner(&Planner{
 		Name: AlgoRabenseifner,
 		Collectives: []Collective{
 			CollAllReduce, CollAllGather, CollReduceScatter,
 		},
-		Compile: compileRabenseifner,
+		Compile: unsegmented(compileRabenseifner),
 	})
 }

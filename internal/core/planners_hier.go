@@ -41,7 +41,14 @@ func hierGroupSize(n, P, i int) int {
 	return hi - lo
 }
 
-func compileHier(coll Collective, n int, sh Shape) *Plan {
+// compileHier is the hierarchical Compile hook. The two-level
+// schedules chunk internally, so there is no segmented form; a flat
+// shape is one node holding every PE, where the intra phases become
+// the whole schedule.
+func compileHier(coll Collective, n, segments int, sh Shape) *Plan {
+	if segments > 1 {
+		return nil
+	}
 	P := sh.PerNode
 	if P < 1 || P > n {
 		P = n
@@ -674,11 +681,7 @@ func init() {
 		Collectives: []Collective{
 			CollBroadcast, CollReduce, CollAllReduce, CollAllGather,
 		},
-		Compile: func(coll Collective, n int) *Plan {
-			// Explicit flat selection: one node holding every PE — the
-			// intra phases become the whole schedule.
-			return compileHier(coll, n, Shape{PerNode: n})
-		},
-		CompileShaped: compileHier,
+		Compile: compileHier,
+		Shaped:  true,
 	})
 }

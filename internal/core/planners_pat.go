@@ -172,6 +172,6 @@ func init() {
 	RegisterPlanner(&Planner{
 		Name:        AlgoPAT,
 		Collectives: []Collective{CollAllGather, CollReduceScatter},
-		Compile:     compilePAT,
+		Compile:     unsegmented(compilePAT),
 	})
 }

@@ -20,13 +20,7 @@ import (
 //
 //xbgas:typed reduce
 func Reduce(pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride, root int) error {
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err // operator/type mismatch
-	}
-	return runPlan(pe, CollReduce, AlgoBinomial, ExecArgs{
+	return dispatch(pe, CollReduce, AlgoBinomial, ExecArgs{
 		DT: dt, Op: op, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})

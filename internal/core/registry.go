@@ -19,17 +19,18 @@ type Planner struct {
 	Collectives []Collective
 	// Compile builds the plan for coll over n PEs in virtual-rank
 	// space, or returns nil when the planner does not implement coll.
-	Compile func(coll Collective, n int) *Plan
-	// CompileSeg, when non-nil, builds the segmented (pipelined) form
-	// of coll for a message split into the given number of segments; it
-	// returns nil when the planner has no segmented form for coll, and
-	// CompilePlanSeg then falls back to the unsegmented plan.
-	CompileSeg func(coll Collective, n, segments int) *Plan
-	// CompileShaped, when non-nil, builds the plan against a fabric
-	// shape (CompilePlanFor): the hierarchical planners schedule
-	// intra-node and inter-node phases separately. Flat shapes fall
-	// back to Compile.
-	CompileShaped func(coll Collective, n int, sh Shape) *Plan
+	// segments > 1 asks for the segmented (pipelined) form of a
+	// message split into that many segments; a planner without one for
+	// coll returns nil, and CompilePlanFor then serves the unsegmented
+	// plan. sh is the fabric grouping for a Shaped planner and the
+	// flat zero Shape otherwise.
+	Compile func(coll Collective, n, segments int, sh Shape) *Plan
+	// Shaped marks a planner whose plans depend on the fabric grouping
+	// (the hierarchical planner schedules intra-node and inter-node
+	// phases separately): its plans are compiled and cached per
+	// grouping. Every other planner compiles one flat plan that all
+	// groupings share.
+	Shaped bool
 }
 
 // Supports reports whether the planner implements coll.
@@ -76,6 +77,18 @@ func PlannerNames() []string {
 	return names
 }
 
+// unsegmented adapts a compile function with neither segmented nor
+// shaped forms to the Compile hook: segmented requests get nil, so
+// CompilePlanFor serves the unsegmented plan.
+func unsegmented(compile func(coll Collective, n int) *Plan) func(Collective, int, int, Shape) *Plan {
+	return func(coll Collective, n, segments int, _ Shape) *Plan {
+		if segments > 1 {
+			return nil
+		}
+		return compile(coll, n)
+	}
+}
+
 func init() {
 	RegisterPlanner(&Planner{
 		Name: AlgoBinomial,
@@ -83,24 +96,23 @@ func init() {
 			CollBroadcast, CollReduce, CollScatter, CollGather,
 			CollAllReduce, CollAllGather,
 		},
-		Compile:    compileBinomial,
-		CompileSeg: compileBinomialSeg,
+		Compile: compileBinomial,
 	})
 	RegisterPlanner(&Planner{
 		Name: AlgoLinear,
 		Collectives: []Collective{
 			CollBroadcast, CollReduce, CollScatter, CollGather,
 		},
-		Compile: compileLinear,
+		Compile: unsegmented(compileLinear),
 	})
 	RegisterPlanner(&Planner{
 		Name:        AlgoScatterAllgather,
 		Collectives: []Collective{CollBroadcast},
-		Compile:     compileScatterAllgather,
+		Compile:     unsegmented(compileScatterAllgather),
 	})
 	RegisterPlanner(&Planner{
 		Name:        AlgoDirect,
 		Collectives: []Collective{CollAlltoall},
-		Compile:     compileDirect,
+		Compile:     unsegmented(compileDirect),
 	})
 }

@@ -22,10 +22,7 @@ import (
 //
 //xbgas:typed vector
 func Scatter(pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollScatter, AlgoBinomial, ExecArgs{
+	return dispatch(pe, CollScatter, AlgoBinomial, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,

@@ -23,7 +23,7 @@ type Transfer struct {
 // choice does not affect the virtual-rank schedule (that is the point
 // of the remapping). Returns nil for n < 1.
 func BroadcastSchedule(n int) []Transfer {
-	p, err := CompilePlan(CollBroadcast, AlgoBinomial, n)
+	p, err := CompilePlanFor(CollBroadcast, AlgoBinomial, n, 1, Shape{})
 	if err != nil {
 		return nil
 	}
@@ -33,7 +33,7 @@ func BroadcastSchedule(n int) []Transfer {
 // ReduceSchedule computes the get schedule of Algorithm 2: in each
 // round, which virtual rank pulls from which. Returns nil for n < 1.
 func ReduceSchedule(n int) []Transfer {
-	p, err := CompilePlan(CollReduce, AlgoBinomial, n)
+	p, err := CompilePlanFor(CollReduce, AlgoBinomial, n, 1, Shape{})
 	if err != nil {
 		return nil
 	}
@@ -45,7 +45,7 @@ func ReduceSchedule(n int) []Transfer {
 // segment, with Round carrying the segment index. Returns nil for
 // n < 1 (or when the shape degenerates to the unsegmented plan).
 func SegmentedBroadcastSchedule(n, segments int) []Transfer {
-	p, err := CompilePlanSeg(CollBroadcast, AlgoBinomial, n, segments)
+	p, err := CompilePlanFor(CollBroadcast, AlgoBinomial, n, segments, Shape{})
 	if err != nil {
 		return nil
 	}

@@ -80,7 +80,7 @@ func TestSegmentedExecutionMatchesSchedule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for n := 1; n <= 16; n++ {
-			p, err := CompilePlanSeg(tc.coll, AlgoBinomial, n, tc.segments)
+			p, err := CompilePlanFor(tc.coll, AlgoBinomial, n, tc.segments, Shape{})
 			if err != nil {
 				t.Fatalf("%s seg=%d n=%d: %v", tc.coll, tc.segments, n, err)
 			}
@@ -323,11 +323,11 @@ func TestSegmentedTransferConservation(t *testing.T) {
 	}
 	for _, coll := range []Collective{CollBroadcast, CollReduce, CollAllReduce} {
 		const n, s = 8, 4
-		base, err := CompilePlan(coll, AlgoBinomial, n)
+		base, err := CompilePlanFor(coll, AlgoBinomial, n, 1, Shape{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := CompilePlanSeg(coll, AlgoBinomial, n, s)
+		seg, err := CompilePlanFor(coll, AlgoBinomial, n, s, Shape{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +345,11 @@ func TestSegmentedTransferConservation(t *testing.T) {
 		}
 	}
 
-	base, err := CompilePlan(CollScatter, AlgoBinomial, 8)
+	base, err := CompilePlanFor(CollScatter, AlgoBinomial, 8, 1, Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := CompilePlanSeg(CollScatter, AlgoBinomial, 8, 2)
+	seg, err := CompilePlanFor(CollScatter, AlgoBinomial, 8, 2, Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSegmentedTransferConservation(t *testing.T) {
 func TestPipelineDepthModel(t *testing.T) {
 	for _, n := range []int{2, 5, 8, 16} {
 		for _, s := range []int{2, 4, 8} {
-			p, err := CompilePlanSeg(CollBroadcast, AlgoBinomial, n, s)
+			p, err := CompilePlanFor(CollBroadcast, AlgoBinomial, n, s, Shape{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +385,7 @@ func TestPipelineDepthModel(t *testing.T) {
 				t.Errorf("n=%d s=%d: pipelined depth %d not better than sequential %d", n, s, d, seq)
 			}
 		}
-		base, err := CompilePlan(CollBroadcast, AlgoBinomial, n)
+		base, err := CompilePlanFor(CollBroadcast, AlgoBinomial, n, 1, Shape{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,7 +598,7 @@ func TestSegmentedTeamsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := CompilePlanSeg(CollBroadcast, AlgoBinomial, 2, 2)
+	p, err := CompilePlanFor(CollBroadcast, AlgoBinomial, 2, 2, Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,23 +167,18 @@ func (a Algorithm) String() string {
 	return string(a)
 }
 
-// Select resolves AlgoAuto for one collective over nPEs PEs moving
-// nelems elements of width bytes each. A fixed algorithm passes
-// through untouched. Auto is the calibrated cost model's argmin
-// (chooseAuto): with ≤ 2 PEs the tree and the flat algorithm coincide
-// so the cheaper-bookkeeping linear form is used; small payloads stay
-// on the binomial tree — tree-based algorithms "typically produce the
-// highest performance for smaller data transaction sizes" (§4.2) —
-// and large payloads land on the bandwidth-optimal ring/rabenseifner
-// planners past the tuned crossover.
-func (a Algorithm) Select(coll Collective, nPEs, nelems, width int) Algorithm {
-	return a.SelectFor(coll, nPEs, nelems, width, Shape{})
-}
-
-// SelectFor is Select against a fabric shape: on a grouped topology the
-// shape admits the hierarchical candidates and prices every plan with
-// the per-link-class coefficients, so auto resolves differently intra-
-// vs inter-node. The flat shape reproduces Select exactly.
+// SelectFor resolves AlgoAuto for one collective over nPEs PEs moving
+// nelems elements of width bytes each, against the fabric shape sh. A
+// fixed algorithm passes through untouched. Auto is the calibrated cost
+// model's argmin (chooseAuto): with ≤ 2 PEs the tree and the flat
+// algorithm coincide so the cheaper-bookkeeping linear form is used;
+// small payloads stay on the binomial tree — tree-based algorithms
+// "typically produce the highest performance for smaller data
+// transaction sizes" (§4.2) — and large payloads land on the
+// bandwidth-optimal ring/rabenseifner planners past the tuned
+// crossover. On a grouped topology the shape admits the hierarchical
+// candidates and prices every plan with the per-link-class
+// coefficients, so auto resolves differently intra- vs inter-node.
 func (a Algorithm) SelectFor(coll Collective, nPEs, nelems, width int, sh Shape) Algorithm {
 	if a != AlgoAuto && a != "" {
 		return a
@@ -214,25 +209,44 @@ func resolveAlgorithm(algo Algorithm, coll Collective, nPEs, nelems, width int, 
 	return selected, nil
 }
 
+// dispatch is the one body behind every world collective entry point.
+// It validates the call's arguments before anything else — a rejected
+// call must not price plans or touch the auto decision cache — then
+// resolves the algorithm and runs its plan. The large-message
+// scatter+all-gather broadcast is contiguous by construction and needs
+// a chunk per PE, so strided or degenerate calls stay on the tree.
+func dispatch(pe *xbrtime.PE, coll Collective, algo Algorithm, a ExecArgs) error {
+	switch coll {
+	case CollScatter, CollGather, CollAllGather:
+		if err := validateVector(pe, a.DT, a.PeMsgs, a.PeDisp, a.Nelems, a.Root); err != nil {
+			return err
+		}
+	default:
+		if err := validate(pe, a.DT, a.Nelems, a.Stride, a.Root); err != nil {
+			return err
+		}
+		if coll != CollBroadcast {
+			if _, err := Combine(a.DT, a.Op, 0, 0); err != nil {
+				return err // operator/type mismatch
+			}
+		}
+	}
+	n, sh := pe.NumPEs(), shapeOf(pe)
+	selected, err := resolveAlgorithm(algo, coll, n, a.Nelems, a.DT.Width, sh)
+	if err != nil {
+		return err
+	}
+	if selected == AlgoScatterAllgather && (a.Stride != 1 || n == 1 || a.Nelems < n) {
+		selected = AlgoBinomial
+	}
+	return runPlan(pe, coll, selected, sh, a)
+}
+
 // BroadcastWith dispatches a broadcast through the selector and the
 // planner registry. The large-message algorithm applies only to
 // contiguous (stride 1) broadcasts; strided calls stay on the tree.
 func BroadcastWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, nelems, stride, root int) error {
-	selected, err := resolveAlgorithm(algo, CollBroadcast, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if selected == AlgoScatterAllgather {
-		if stride != 1 {
-			selected = AlgoBinomial
-		} else {
-			return BroadcastScatterAllgather(pe, dt, dest, src, nelems, root)
-		}
-	}
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollBroadcast, selected, ExecArgs{
+	return dispatch(pe, CollBroadcast, algo, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})
@@ -241,17 +255,7 @@ func BroadcastWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src u
 // ReduceWith dispatches a reduction through the selector and the
 // planner registry.
 func ReduceWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride, root int) error {
-	selected, err := resolveAlgorithm(algo, CollReduce, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, stride, root); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollReduce, selected, ExecArgs{
+	return dispatch(pe, CollReduce, algo, ExecArgs{
 		DT: dt, Op: op, Dest: dest, Src: src,
 		Nelems: nelems, Stride: stride, Root: root,
 	})
@@ -260,14 +264,7 @@ func ReduceWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, op ReduceOp, d
 // ScatterWith dispatches a scatter through the selector and the
 // planner registry.
 func ScatterWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	selected, err := resolveAlgorithm(algo, CollScatter, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollScatter, selected, ExecArgs{
+	return dispatch(pe, CollScatter, algo, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,
@@ -279,35 +276,18 @@ func ScatterWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uin
 // model, so large payloads land on the bandwidth-optimal rabenseifner
 // or ring planner and small ones stay on the binomial tree.
 func AllReduceWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems, stride int) error {
-	selected, err := resolveAlgorithm(algo, CollAllReduce, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, stride, 0); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollAllReduce, selected, ExecArgs{
+	return dispatch(pe, CollAllReduce, algo, ExecArgs{
 		DT: dt, Op: op, Dest: dest, Src: src,
-		Nelems: nelems, Stride: stride, Root: 0,
+		Nelems: nelems, Stride: stride,
 	})
 }
 
 // AllGatherWith dispatches a gather-to-all through the selector and the
 // planner registry.
 func AllGatherWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems int) error {
-	selected, err := resolveAlgorithm(algo, CollAllGather, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollAllGather, selected, ExecArgs{
+	return dispatch(pe, CollAllGather, algo, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: 0,
+		Nelems: nelems, Stride: 1,
 		PeMsgs: peMsgs, PeDisp: peDisp,
 	})
 }
@@ -319,33 +299,16 @@ func AllGatherWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, dest, src u
 // ⌊nelems/n⌋ + (v < nelems mod n)) at dest. The collective is
 // rootless; only the bandwidth-optimal planners implement it.
 func ReduceScatterWith(pe *xbrtime.PE, algo Algorithm, dt xbrtime.DType, op ReduceOp, dest, src uint64, nelems int) error {
-	selected, err := resolveAlgorithm(algo, CollReduceScatter, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validate(pe, dt, nelems, 1, 0); err != nil {
-		return err
-	}
-	if _, err := Combine(dt, op, 0, 0); err != nil {
-		return err
-	}
-	return runPlan(pe, CollReduceScatter, selected, ExecArgs{
+	return dispatch(pe, CollReduceScatter, algo, ExecArgs{
 		DT: dt, Op: op, Dest: dest, Src: src,
-		Nelems: nelems, Stride: 1, Root: 0,
+		Nelems: nelems, Stride: 1,
 	})
 }
 
 // GatherWith dispatches a gather through the selector and the planner
 // registry.
 func GatherWith(algo Algorithm, pe *xbrtime.PE, dt xbrtime.DType, dest, src uint64, peMsgs, peDisp []int, nelems, root int) error {
-	selected, err := resolveAlgorithm(algo, CollGather, pe.NumPEs(), nelems, dt.Width, shapeOf(pe))
-	if err != nil {
-		return err
-	}
-	if err := validateVector(pe, dt, peMsgs, peDisp, nelems, root); err != nil {
-		return err
-	}
-	return runPlan(pe, CollGather, selected, ExecArgs{
+	return dispatch(pe, CollGather, algo, ExecArgs{
 		DT: dt, Dest: dest, Src: src,
 		Nelems: nelems, Stride: 1, Root: root,
 		PeMsgs: peMsgs, PeDisp: peDisp,

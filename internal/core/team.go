@@ -48,7 +48,7 @@ func TeamBroadcast(pe *xbrtime.PE, t *xbrtime.Team, dt xbrtime.DType, dest, src 
 	if err := teamValidate(pe, t, dt, nelems, stride, root); err != nil {
 		return err
 	}
-	p, err := CompilePlan(CollBroadcast, AlgoBinomial, t.Size())
+	p, err := CompilePlanFor(CollBroadcast, AlgoBinomial, t.Size(), 1, Shape{})
 	if err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func TeamReduce(pe *xbrtime.PE, t *xbrtime.Team, dt xbrtime.DType, op ReduceOp, 
 	if _, err := Combine(dt, op, 0, 0); err != nil {
 		return err
 	}
-	p, err := CompilePlan(CollReduce, AlgoBinomial, t.Size())
+	p, err := CompilePlanFor(CollReduce, AlgoBinomial, t.Size(), 1, Shape{})
 	if err != nil {
 		return err
 	}
